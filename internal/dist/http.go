@@ -455,8 +455,8 @@ func (s *Server) feed(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, fmt.Errorf("%w: feed needs ?agent=", runner.ErrInvalidConfig))
 		return
 	}
-	streamNDJSON(w, r, s.heartbeat(), Msg{Type: TypeHeartbeat},
-		func(ctx context.Context, cursor int) (any, error) {
+	streamNDJSON(w, r, s.heartbeat(), Msg{Type: TypeHeartbeat}, AppendMsg,
+		func(ctx context.Context, cursor int) (Msg, error) {
 			return hc.tr.nextFeed(ctx, agent, cursor)
 		})
 }
@@ -467,7 +467,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	streamNDJSON(w, r, s.heartbeat(), heartbeatLine{Heartbeat: true},
+	streamNDJSON[any](w, r, s.heartbeat(), heartbeatLine{Heartbeat: true}, appendJSON,
 		func(ctx context.Context, cursor int) (any, error) {
 			return hc.coord.NextRecord(ctx, cursor)
 		})
@@ -479,7 +479,7 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	streamNDJSON(w, r, s.heartbeat(), heartbeatLine{Heartbeat: true},
+	streamNDJSON[any](w, r, s.heartbeat(), heartbeatLine{Heartbeat: true}, appendJSON,
 		func(ctx context.Context, cursor int) (any, error) {
 			return hc.coord.NextEvent(ctx, cursor)
 		})
@@ -951,12 +951,20 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
+// appendJSON is encoding/json's rendering of v, for streams whose
+// records have no hand-written codec.
+func appendJSON(dst []byte, v any) ([]byte, error) {
+	b, err := json.Marshal(v)
+	return append(dst, b...), err
+}
+
 // streamNDJSON is the shared live-follow loop: parse ?from, commit the
-// NDJSON header, then one record per line until next fails. When no
-// record lands within hb the keepalive value is emitted and the same
-// cursor retried, so idle streams stay alive without a write timeout;
-// keepalives never advance the cursor.
-func streamNDJSON(w http.ResponseWriter, r *http.Request, hb time.Duration, keepalive any, next func(ctx context.Context, cursor int) (any, error)) {
+// NDJSON header, then one record per line, rendered by appendFrame,
+// until next fails. When no record lands within hb the keepalive value
+// is emitted and the same cursor retried, so idle streams stay alive
+// without a write timeout; keepalives never advance the cursor.
+func streamNDJSON[T any](w http.ResponseWriter, r *http.Request, hb time.Duration, keepalive T,
+	appendFrame func(dst []byte, v T) ([]byte, error), next func(ctx context.Context, cursor int) (T, error)) {
 	from := 0
 	if v := r.URL.Query().Get("from"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -969,9 +977,14 @@ func streamNDJSON(w http.ResponseWriter, r *http.Request, hb time.Duration, keep
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(v any) bool {
-		if err := enc.Encode(v); err != nil {
+	var line []byte
+	emit := func(v T) bool {
+		var err error
+		if line, err = appendFrame(line[:0], v); err != nil {
+			return false
+		}
+		line = append(line, '\n')
+		if _, err := w.Write(line); err != nil {
 			return false
 		}
 		if flusher != nil {

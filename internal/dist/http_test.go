@@ -347,3 +347,51 @@ func TestDistHTTPRejectsHostileInput(t *testing.T) {
 	defer dresp.Body.Close()
 	wantStatus(t, dresp, http.StatusNotFound)
 }
+
+// Every /feed line is the wire codec's frame plus a newline — the same
+// bytes SimNet round-trips and agents decode — for ordinary frames and
+// for the encoder's edge cases alike.
+func TestDistHTTPFeedLinesAreWireFrames(t *testing.T) {
+	ts, srv, _ := newDistServer(t, "")
+	resp := postJSON(t, ts.URL+"/dist/clusters", `{"id":"c1","budget_w":10,"expect":2}`)
+	wantStatus(t, resp, http.StatusCreated)
+	hc, err := srv.lookup("c1")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	frames := []Msg{
+		benchGrant(),
+		{Type: TypeWelcome, Member: "café-日本", Epoch: 2},
+		{Type: TypeError, Member: "m1", Err: `budget <0> & "quoted"`},
+		{Type: TypeReport, Member: "m1", PowerW: 1e-7, Instr: 1e21},
+		benchResult(),
+	}
+	var want bytes.Buffer
+	for _, m := range frames {
+		hc.tr.Send("probe", m)
+		b, err := EncodeMsg(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(b)
+		want.WriteByte('\n')
+	}
+	// A closed transport ends the feed once its queue drains, so the
+	// body is exactly the queued frames.
+	hc.tr.Close()
+
+	feed, err := http.Get(ts.URL + "/dist/clusters/c1/feed?agent=probe")
+	if err != nil {
+		t.Fatalf("GET feed: %v", err)
+	}
+	defer feed.Body.Close()
+	wantStatus(t, feed, http.StatusOK)
+	var got bytes.Buffer
+	if _, err := got.ReadFrom(feed.Body); err != nil {
+		t.Fatalf("read feed: %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("feed body is not the encoded frames\n got: %.600s\nwant: %.600s", got.Bytes(), want.Bytes())
+	}
+}

@@ -87,8 +87,10 @@ type simAgent struct {
 // synchronously inside the pump, and all randomness comes from one
 // seeded source consumed in pump order — so a (seed, fault plan, fixture)
 // triple always produces the same run, byte for byte. Every message is
-// round-tripped through EncodeMsg/DecodeMsg, so what the protocol logic
-// sees is exactly what the JSON wire carries.
+// round-tripped through the wire codec (AppendMsg into one reused
+// SimNet-owned buffer, then DecodeMsg), so what the protocol logic sees
+// is exactly what the JSON wire carries, without per-frame encode
+// garbage.
 //
 // SimNet is not safe for concurrent use; it models a cluster, it does
 // not run one.
@@ -102,6 +104,9 @@ type SimNet struct {
 	agents   map[string]*simAgent
 	restarts []Restart
 	err      error
+	// frame is the reused encode buffer; decoded messages never alias
+	// it.
+	frame []byte
 }
 
 // NewSimNet builds a simulated network with the given seed, latency and
@@ -152,9 +157,10 @@ func (s *SimNet) schedule(at int64, fn func()) {
 // JSON layer cannot carry faithfully is a protocol bug and poisons the
 // net with a sticky error that Recv surfaces.
 func (s *SimNet) codec(m Msg) (Msg, bool) {
-	b, err := EncodeMsg(m)
+	var err error
+	s.frame, err = AppendMsg(s.frame[:0], m)
 	if err == nil {
-		m, err = DecodeMsg(b)
+		m, err = DecodeMsg(s.frame)
 	}
 	if err != nil {
 		if s.err == nil {
@@ -165,23 +171,23 @@ func (s *SimNet) codec(m Msg) (Msg, bool) {
 	return m, true
 }
 
-// deliveries rolls the fault dice for one message: nil means dropped,
-// otherwise each entry is a delivery latency (two entries for a
-// duplicate). Draw order is fixed — delay, drop, duplicate — so the
-// seeded schedule is stable.
-func (s *SimNet) deliveries() []int64 {
+// deliveries rolls the fault dice for one message: copies is 0 when
+// it is dropped, else 1, or 2 for a duplicate; copy k arrives after
+// lat + k·LatencyNs. Draw order is fixed — delay, drop, duplicate — so
+// the seeded schedule is stable.
+func (s *SimNet) deliveries() (lat int64, copies int) {
 	f := s.cfg.Faults
-	lat := s.cfg.LatencyNs
+	lat = s.cfg.LatencyNs
 	if f.DelayProb > 0 && s.rng.Float64() < f.DelayProb {
 		lat += f.DelayNs
 	}
 	if f.DropProb > 0 && s.rng.Float64() < f.DropProb {
-		return nil
+		return lat, 0
 	}
 	if f.DupProb > 0 && s.rng.Float64() < f.DupProb {
-		return []int64{lat, lat + s.cfg.LatencyNs}
+		return lat, 2
 	}
-	return []int64{lat}
+	return lat, 1
 }
 
 // restartPlan consumes the first unfired restart matching this grant
@@ -215,8 +221,9 @@ func (s *SimNet) Send(agent string, m Msg) {
 		return // unknown endpoint: the void swallows it
 	}
 	gen := a.gen
-	for _, d := range s.deliveries() {
-		s.schedule(s.now+d, func() {
+	lat, copies := s.deliveries()
+	for k := range copies {
+		s.schedule(s.now+lat+int64(k)*s.cfg.LatencyNs, func() {
 			if a.gen != gen || a.handle == nil {
 				return // incarnation died with this message in flight
 			}
@@ -252,8 +259,9 @@ func (s *SimNet) Sender(name string) func(Msg) error {
 			return fmt.Errorf("dist: simnet agent %q not registered", name)
 		}
 		gen := a.gen
-		for _, d := range s.deliveries() {
-			s.schedule(s.now+d, func() {
+		lat, copies := s.deliveries()
+		for k := range copies {
+			s.schedule(s.now+lat+int64(k)*s.cfg.LatencyNs, func() {
 				if a.gen != gen {
 					return
 				}

@@ -138,33 +138,49 @@ type Msg struct {
 }
 
 // EncodeMsg serializes m to its one-line wire form (no trailing
-// newline).
-func EncodeMsg(m Msg) ([]byte, error) { return json.Marshal(m) }
+// newline): AppendMsg(nil, m).
+func EncodeMsg(m Msg) ([]byte, error) { return AppendMsg(nil, m) }
 
 // DecodeMsg strictly decodes and validates one wire message: oversized,
 // truncated, unknown-field, trailing-garbage, unknown-type and
 // out-of-bounds input all fail with ErrBadMessage. It never panics and
-// allocates at most in proportion to the (bounded) input.
+// allocates at most in proportion to the (bounded) input. Frames in
+// the canonical form EncodeMsg writes take the hand-written fast path;
+// every other frame goes to the reference decoder, so both accept the
+// same inputs with the same values.
 func DecodeMsg(data []byte) (Msg, error) {
 	if len(data) > MaxResultBytes {
 		return Msg{}, fmt.Errorf("%w: %d bytes above the %d-byte limit", ErrBadMessage, len(data), MaxResultBytes)
 	}
+	m, ok := decodeCanonical(data)
+	if !ok {
+		var err error
+		if m, err = decodeStrict(data); err != nil {
+			return Msg{}, err
+		}
+	}
+	if m.Type != TypeResult && len(data) > MaxMsgBytes {
+		return Msg{}, fmt.Errorf("%w: %d-byte %s message above the %d-byte limit", ErrBadMessage, len(data), m.Type, MaxMsgBytes)
+	}
+	if err := m.Validate(); err != nil {
+		return Msg{}, err
+	}
+	return m, nil
+}
+
+// decodeStrict is the reference decoder: encoding/json with unknown
+// fields refused and exactly one value per frame.
+func decodeStrict(data []byte) (Msg, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var m Msg
 	if err := dec.Decode(&m); err != nil {
 		return Msg{}, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	if m.Type != TypeResult && len(data) > MaxMsgBytes {
-		return Msg{}, fmt.Errorf("%w: %d-byte %s message above the %d-byte limit", ErrBadMessage, len(data), m.Type, MaxMsgBytes)
-	}
 	// One message per frame: trailing non-space bytes are framing bugs
 	// (or smuggling attempts), not forward compatibility.
 	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
 		return Msg{}, fmt.Errorf("%w: trailing data after message", ErrBadMessage)
-	}
-	if err := m.Validate(); err != nil {
-		return Msg{}, err
 	}
 	return m, nil
 }

@@ -1,7 +1,9 @@
 package dist_test
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -48,8 +50,9 @@ func TestDecodeMsgRejectsHostileInput(t *testing.T) {
 
 // FuzzDistMessage hammers the wire decoder with arbitrary bytes: it
 // must return a typed error or a message that survives a lossless
-// re-encode round-trip — and never panic. The CI smoke runs this for a
-// bounded interval on every push.
+// re-encode round-trip — DecodeMsg(EncodeMsg(m)) is DeepEqual to m and
+// encoding is a fixed point — and never panic. The CI smoke runs this
+// for a bounded interval on every push.
 func FuzzDistMessage(f *testing.F) {
 	seeds := []string{
 		`{"type":"announce","member":"m1","agent":"a1","peak_w":40,"weight":2,"floor_frac":0.1,"total_epochs":8}`,
@@ -84,14 +87,21 @@ func FuzzDistMessage(f *testing.F) {
 			}
 			return
 		}
-		// Accepted messages must round-trip: what we re-encode decodes
-		// back clean, so accepted input is always forwardable.
+		// Accepted messages must round-trip losslessly, so accepted
+		// input is always forwardable unchanged.
 		b, err := dist.EncodeMsg(m)
 		if err != nil {
 			t.Fatalf("EncodeMsg on accepted message: %v", err)
 		}
-		if _, err := dist.DecodeMsg(b); err != nil {
+		back, err := dist.DecodeMsg(b)
+		if err != nil {
 			t.Fatalf("re-decode of accepted message: %v\nwire: %s", err, b)
+		}
+		if !reflect.DeepEqual(back, m) {
+			t.Fatalf("re-decode changed the message\n got: %+v\nwant: %+v\nwire: %s", back, m, b)
+		}
+		if again, err := dist.EncodeMsg(back); err != nil || !bytes.Equal(again, b) {
+			t.Fatalf("re-encode is not a fixed point: %s, %v\nfirst: %s", again, err, b)
 		}
 	})
 }

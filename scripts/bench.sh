@@ -21,6 +21,10 @@
 # demand-estimation pass on a partially contracted fleet, same bar;
 # BenchmarkPredictiveArbitration{8,64} track the forecast-driven
 # arbiter's observe+predict+fund pass on a warm fleet, same bar.
+# BenchmarkDistWire{Grant,Report,Result} (internal/dist) track one
+# EncodeMsg + DecodeMsg round trip of the distributed wire codec per
+# frame kind — the result frame is a 40-epoch, 4-core member, as the
+# fleet-dist workload ships it; watch ns/op and allocs/op.
 #
 # After the Go benchmarks the script boots a real fastcapd and measures
 # serving capacity with fastcap-loadgen at increasing closed-loop tenant
@@ -46,9 +50,9 @@ trap 'rm -f "$RAW" "$CAP"' EXIT
 # runs in. Three ops amortize that while keeping the suite under a
 # minute. Later flags win in go test, so extra args can still override.
 if [ "$#" -gt 0 ]; then
-    go test -run '^$' -bench . -benchmem -benchtime 3x "$@" . | tee "$RAW"
+    go test -run '^$' -bench . -benchmem -benchtime 3x "$@" . ./internal/dist | tee "$RAW"
 else
-    go test -run '^$' -bench . -benchmem -benchtime 3x . | tee "$RAW"
+    go test -run '^$' -bench . -benchmem -benchtime 3x . ./internal/dist | tee "$RAW"
 fi
 
 awk -v sha="$SHA" -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v gmp="$(nproc 2>/dev/null || echo 1)" '
